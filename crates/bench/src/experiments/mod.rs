@@ -15,19 +15,23 @@ pub mod e12_submodularity;
 pub mod e14_ablation;
 pub mod e15_gap_budget;
 
-/// Runs every experiment in sequence (the `exp_all` binary).
-pub fn run_all(seed: u64, quick: bool) {
-    e01_schedule_all::run(seed, quick);
-    e02_budgeted::run(seed, quick);
-    e03_prize_collecting::run(seed, quick);
-    e05_setcover_hard::run(seed, quick);
-    e06_secretary_monotone::run(seed, quick);
-    e07_secretary_nonmonotone::run(seed, quick);
-    e08_secretary_matroid::run(seed, quick);
-    e09_secretary_knapsack::run(seed, quick);
-    e10_subadditive::run(seed, quick);
-    e11_bottleneck::run(seed, quick);
-    e12_submodularity::run(seed, quick);
-    e14_ablation::run(seed, quick);
-    e15_gap_budget::run(seed, quick);
-}
+/// An experiment's `exp` binary name and its `run(seed, quick)` entry.
+pub type Experiment = (&'static str, fn(u64, bool));
+
+/// Every experiment by its `exp` binary name, in index order (`exp all`
+/// runs them in this order).
+pub const ALL: &[Experiment] = &[
+    ("schedule_all", e01_schedule_all::run),
+    ("budgeted_greedy", e02_budgeted::run),
+    ("prize_collecting", e03_prize_collecting::run),
+    ("setcover_hard", e05_setcover_hard::run),
+    ("secretary_monotone", e06_secretary_monotone::run),
+    ("secretary_nonmonotone", e07_secretary_nonmonotone::run),
+    ("secretary_matroid", e08_secretary_matroid::run),
+    ("secretary_knapsack", e09_secretary_knapsack::run),
+    ("subadditive", e10_subadditive::run),
+    ("bottleneck", e11_bottleneck::run),
+    ("submodularity_check", e12_submodularity::run),
+    ("ablation", e14_ablation::run),
+    ("gap_budget", e15_gap_budget::run),
+];

@@ -3,10 +3,9 @@
 //! EXPERIMENTS.md, plus small table-formatting utilities.
 //!
 //! Every experiment takes an explicit seed and a `quick` flag (smaller
-//! sweeps for CI); binaries under `src/bin/` are thin wrappers. Criterion
-//! performance benches live in `benches/`, and the machine-readable perf
-//! harness (`perf_harness`, `power-sched perf`, `BENCH_solver.json`) in
-//! [`perf`].
+//! sweeps for CI); the `exp` binary runs one by name, or all of them. The
+//! machine-readable perf harness (`perf_harness`, `power-sched perf`,
+//! `BENCH_solver.json`) lives in [`perf`].
 
 pub mod experiments;
 pub mod loadgen;

@@ -30,9 +30,8 @@
 //! * `speedups` pairs each fast row with its naive twin — the
 //!   machine-portable form of the hot-path speedup claim.
 //!
-//! Timing is best-of-`rounds` wall clock over whole workload passes (the
-//! same convention as the vendored criterion), so one noisy scheduler tick
-//! cannot poison a row. `--baseline FILE` compares a fresh run against a
+//! Timing is best-of-`rounds` wall clock over whole workload passes, so
+//! one noisy scheduler tick cannot poison a row. `--baseline FILE` compares a fresh run against a
 //! committed report and fails on regression beyond the given tolerance —
 //! the CI perf gate.
 

@@ -222,19 +222,6 @@ impl<'a> Solver<'a> {
         self.options
     }
 
-    /// A [`WarmHandle`](crate::warm::WarmHandle) configured with this
-    /// solver's candidate policy and options, for callers that re-solve the
-    /// same grid repeatedly and want the incremental path. Explicit-family
-    /// solvers fall back to [`CandidatePolicy::All`] (the handle enumerates
-    /// its own family so it can rebuild after checksum divergence).
-    pub fn warm_handle(&self) -> crate::warm::WarmHandle {
-        let policy = match &self.source {
-            CandidateSource::Enumerate(_, policy) => *policy,
-            CandidateSource::Explicit => CandidatePolicy::All,
-        };
-        crate::warm::WarmHandle::with_options(policy, self.options)
-    }
-
     /// The bipartite reduction over the cached candidate family, built on
     /// first use and shared by every goal method (and by clones): sweeping a
     /// target or an `ε` schedule re-reduces nothing.

@@ -103,31 +103,20 @@ struct GridState {
 
 /// A reusable warm-start handle for consecutive `schedule_all` solves.
 ///
-/// Create one per logical solve stream (a [`crate::simulate`] policy, an
-/// engine worker cache entry) and call [`WarmHandle::solve`] for each
-/// re-solve. The handle owns all cached state; dropping it frees everything.
+/// Create one per logical solve stream (a periodic re-solve policy in the
+/// `sched-sim` crate) and call [`WarmHandle::solve`] for each re-solve. The
+/// handle owns all cached state; dropping it frees everything.
 pub struct WarmHandle {
     policy: CandidatePolicy,
-    options: SolveOptions,
     grid: Option<GridState>,
     stats: WarmStats,
 }
 
 impl WarmHandle {
-    /// New handle with default [`SolveOptions`].
+    /// New handle; solves run with default [`SolveOptions`].
     pub fn new(policy: CandidatePolicy) -> Self {
-        Self::with_options(policy, SolveOptions::default())
-    }
-
-    /// New handle with explicit solve options.
-    ///
-    /// Note the seeded path always scans sequentially (the replay-vs-refresh
-    /// decision is per-run state), so `options.parallel` only affects solves
-    /// that fall back to the cold constructor inside the handle.
-    pub fn with_options(policy: CandidatePolicy, options: SolveOptions) -> Self {
         Self {
             policy,
-            options,
             grid: None,
             stats: WarmStats::default(),
         }
@@ -153,36 +142,14 @@ impl WarmHandle {
         self.grid = None;
     }
 
-    /// Replaces the solve options for subsequent solves. Safe at any point:
-    /// options steer evaluation order only (lazy/eager, scan parallelism),
-    /// never the result, so cached seeds stay valid.
-    pub fn set_options(&mut self, options: SolveOptions) {
-        self.options = options;
-    }
-
-    /// The candidate family for `inst`'s grid under `cost`, enumerating (or
-    /// re-enumerating after divergence) if needed. Lets callers that also
-    /// serve non-`schedule_all` goals on the same grid share the family.
-    pub fn family(&mut self, inst: &Instance, cost: &dyn EnergyCost) -> Arc<[CandidateInterval]> {
-        self.ensure_grid(inst, cost);
-        Arc::clone(
-            &self
-                .grid
-                .as_ref()
-                .expect("ensure_grid populated")
-                .candidates,
-        )
-    }
-
     /// Solves `schedule_all` for `inst`, reusing as much prior state as the
     /// delta rules allow. Bit-identical to [`crate::schedule_all_with`] with
-    /// the same options.
+    /// default options.
     ///
     /// `keys` are stable per-job identities parallel to `inst.jobs` (e.g.
-    /// trace job ids, or [`content_keys`] when no external identity exists).
-    /// They only steer the old↔new job pairing, which is a performance
-    /// heuristic — collisions or churn cannot affect the result, only how
-    /// much is recomputed.
+    /// trace job ids). They only steer the old↔new job pairing, which is a
+    /// performance heuristic — collisions or churn cannot affect the result,
+    /// only how much is recomputed.
     pub fn solve(
         &mut self,
         inst: &Instance,
@@ -215,7 +182,7 @@ impl WarmHandle {
                 inst,
                 &grid.reduction,
                 &grid.candidates,
-                &self.options,
+                &SolveOptions::default(),
                 None,
                 &mut init,
             )
@@ -248,7 +215,7 @@ impl WarmHandle {
                         inst,
                         &grid.reduction,
                         &grid.candidates,
-                        &self.options,
+                        &SolveOptions::default(),
                         Some(WarmSeed {
                             vals: &prev.init,
                             clean: &clean,
@@ -267,7 +234,7 @@ impl WarmHandle {
                         inst,
                         &grid.reduction,
                         &grid.candidates,
-                        &self.options,
+                        &SolveOptions::default(),
                         None,
                         &mut init,
                     )
@@ -331,26 +298,6 @@ impl WarmHandle {
         });
         true
     }
-}
-
-/// Deterministic content-derived job keys for callers without stable external
-/// identities (hashes value bits and the allowed-slot list). Collisions are
-/// harmless — keys only steer pairing, never correctness.
-pub fn content_keys(inst: &Instance) -> Vec<u64> {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    inst.jobs
-        .iter()
-        .map(|j| {
-            let mut h = DefaultHasher::new();
-            j.value.to_bits().hash(&mut h);
-            for s in &j.allowed {
-                s.proc.hash(&mut h);
-                s.time.hash(&mut h);
-            }
-            h.finish()
-        })
-        .collect()
 }
 
 /// FNV-1a over grid dimensions, family size, and up to ~16 sampled candidate
@@ -672,16 +619,6 @@ mod tests {
         assert!(r.awake.is_empty());
         let next = inst(vec![Job::window(1.0, 0, 0, 4)]);
         assert_same(&h.solve(&next, &[1], &c), &cold(&next));
-    }
-
-    #[test]
-    fn content_keys_are_deterministic_and_content_sensitive() {
-        let a = inst(vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)]);
-        let b = inst(vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)]);
-        assert_eq!(content_keys(&a), content_keys(&b));
-        let c = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 2, 6)]);
-        assert_ne!(content_keys(&a)[0], content_keys(&c)[0]);
-        assert_eq!(content_keys(&a)[1], content_keys(&c)[1]);
     }
 
     #[test]

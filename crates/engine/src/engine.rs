@@ -17,14 +17,13 @@
 //!   worker — roughly "when will a queue slot exist again".
 //! * **Candidate reuse** — enumeration is the per-request cost that does not
 //!   depend on the jobs, only on `(processors, horizon, cost, policy)`.
-//!   Each worker keeps a small keyed cache of [`sched_core::WarmHandle`]s,
-//!   so a stream of requests over the same grid skips enumeration entirely —
-//!   [`SolveMetrics::cache_hit`] reports this per response. `schedule_all`
-//!   requests additionally ride the handle's incremental warm path
-//!   (reduction arrays and clean gains carried between consecutive requests
-//!   on the same grid, keyed by job content; bit-identical to a cold solve
-//!   by construction); other goals borrow the family via
-//!   [`Solver::with_shared_candidates`] as before.
+//!   Each worker keeps a small keyed cache of enumerated families behind
+//!   `Arc`s, so a stream of requests over the same grid skips enumeration
+//!   entirely — [`SolveMetrics::cache_hit`] reports this per response. Every
+//!   goal (and the compiled DVFS grid) solves through one path,
+//!   [`Solver::with_shared_candidates`], so a cached family is bit-identical
+//!   to a fresh enumeration by construction. Nothing job-dependent is
+//!   carried between requests: unrelated wire requests share no jobs.
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -37,8 +36,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sched_core::{
-    content_keys, validate_profiles, AffineCost, CandidatePolicy, DvfsCost, DvfsInstance,
-    EnergyCost, ProfileCost, SolveOptions, Solver, WarmHandle,
+    enumerate_candidates, validate_profiles, AffineCost, CandidateInterval, CandidatePolicy,
+    DvfsCost, DvfsInstance, EnergyCost, ProfileCost, SolveOptions, Solver,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -48,15 +47,12 @@ use crate::protocol::{
 };
 
 /// Sizing knobs for [`Engine::new`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads. `0` means "one per available core".
     pub workers: usize,
     /// Bounded request-queue depth. `0` means `2 × workers`.
     pub queue_depth: usize,
-    /// Per-worker candidate-cache capacity (distinct
-    /// grid/cost/policy keys); the cache is cleared when full.
-    pub cache_capacity: usize,
     /// Flight recorder: when set, the engine owns a small bounded
     /// [`Tracer`](sched_obs::trace::Tracer) ring (last
     /// [`sched_obs::trace::FLIGHT_CAPACITY`] events per thread), every
@@ -64,17 +60,6 @@ pub struct EngineConfig {
     /// events are dumped to stderr on request failure, accept-loop error
     /// bursts, and graceful shutdown. Shed events are recorded into it too.
     pub flight_recorder: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            queue_depth: 0,
-            cache_capacity: 64,
-            flight_recorder: false,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -330,7 +315,6 @@ impl Engine {
         let handles = (0..workers)
             .map(|worker_id| {
                 let queue = Arc::clone(&queue);
-                let cache_capacity = config.cache_capacity.max(1);
                 let global = Arc::clone(&registry);
                 let local = Arc::clone(&worker_registries[worker_id]);
                 let tracer = tracer.clone();
@@ -338,15 +322,7 @@ impl Engine {
                 std::thread::Builder::new()
                     .name(format!("sched-engine-worker-{worker_id}"))
                     .spawn(move || {
-                        worker_loop(
-                            worker_id as u32,
-                            cache_capacity,
-                            &queue,
-                            global,
-                            local,
-                            tracer,
-                            &ewma,
-                        )
+                        worker_loop(worker_id as u32, &queue, global, local, tracer, &ewma)
                     })
                     .expect("spawn engine worker")
             })
@@ -611,11 +587,49 @@ impl From<CandidatePolicy> for PolicyKey {
     }
 }
 
-type CandidateCache = HashMap<CacheKey, WarmHandle>;
+impl CacheKey {
+    /// The key of `req`'s candidate family under `policy`. Profiled pricing
+    /// ignores restart/rate entirely and DVFS pricing ignores the rate, so
+    /// those bits are normalized out — otherwise two clients sending the
+    /// same fleet with different (ignored) fields would re-enumerate and
+    /// double-occupy the bounded cache for one identical family.
+    fn new(req: &SolveRequest, policy: CandidatePolicy) -> Self {
+        let profiled = req.profiles.is_some();
+        Self {
+            processors: req.instance.num_processors,
+            horizon: req.instance.horizon,
+            restart_bits: if profiled { 0 } else { req.restart.to_bits() },
+            rate_bits: if profiled || req.freq_ladder.is_some() {
+                0
+            } else {
+                req.rate.to_bits()
+            },
+            profile_bits: req.profiles.as_ref().map(|ps| {
+                ps.iter()
+                    .map(|p| (p.wake_cost.to_bits(), p.busy_rate.to_bits()))
+                    .collect()
+            }),
+            ladder_bits: req.freq_ladder.as_ref().map(|l| {
+                (
+                    l.alpha.to_bits(),
+                    l.beta.to_bits(),
+                    l.gamma.to_bits(),
+                    l.freqs.clone(),
+                )
+            }),
+            policy: policy.into(),
+        }
+    }
+}
+
+/// Distinct grid/cost/policy keys a worker's candidate cache holds; the
+/// cache is cleared when full (the simplest bound; it is generous).
+const CACHE_CAPACITY: usize = 64;
+
+type CandidateCache = HashMap<CacheKey, Arc<[CandidateInterval]>>;
 
 fn worker_loop(
     worker_id: u32,
-    cache_capacity: usize,
     queue: &SharedQueue,
     global: Arc<Registry>,
     local: Arc<Registry>,
@@ -637,7 +651,7 @@ fn worker_loop(
         queue_depth.add(-1);
         requests.inc();
         let t0 = Instant::now();
-        let response = serve_request(worker_id, cache_capacity, &mut cache, &job.req);
+        let response = serve_request(worker_id, &mut cache, &job.req);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         latency.record(elapsed_ns);
         // racy read-modify-write is fine: this feeds a hint, not a metric
@@ -655,8 +669,7 @@ fn worker_loop(
 /// What a validated request asks the solver to do.
 struct Plan {
     policy: CandidatePolicy,
-    lazy: bool,
-    parallel: bool,
+    options: SolveOptions,
     goal: Goal,
 }
 
@@ -716,8 +729,7 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
         }
         return Ok(Plan {
             policy: CandidatePolicy::All,
-            lazy: req.lazy.unwrap_or(true),
-            parallel: req.parallel.unwrap_or(false),
+            options: options(req),
             goal: Goal::All,
         });
     }
@@ -791,18 +803,19 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
     };
     Ok(Plan {
         policy,
-        lazy: req.lazy.unwrap_or(true),
-        parallel: req.parallel.unwrap_or(false),
+        options: options(req),
         goal,
     })
 }
 
-fn serve_request(
-    worker_id: u32,
-    cache_capacity: usize,
-    cache: &mut CandidateCache,
-    req: &SolveRequest,
-) -> SolveResponse {
+fn options(req: &SolveRequest) -> SolveOptions {
+    SolveOptions {
+        lazy: req.lazy.unwrap_or(true),
+        parallel: req.parallel.unwrap_or(false),
+    }
+}
+
+fn serve_request(worker_id: u32, cache: &mut CandidateCache, req: &SolveRequest) -> SolveResponse {
     // Resolve the request's trace id (stamping a deterministic `req-<id>`
     // when the caller sent none) and make it this thread's ambient id for
     // the duration of the request, so every span and decision event the
@@ -814,7 +827,7 @@ fn serve_request(
     sched_obs::trace::set_trace_id(Some(&trace_id));
     let response = {
         let _span = sched_obs::span!("engine.request_ns");
-        serve_request_planned(worker_id, cache_capacity, cache, req)
+        serve_request_planned(worker_id, cache, req)
     };
     if !response.ok {
         if let Some(t) = sched_obs::trace::active_tracer() {
@@ -827,7 +840,6 @@ fn serve_request(
 
 fn serve_request_planned(
     worker_id: u32,
-    cache_capacity: usize,
     cache: &mut CandidateCache,
     req: &SolveRequest,
 ) -> SolveResponse {
@@ -835,125 +847,16 @@ fn serve_request_planned(
         Ok(p) => p,
         Err(e) => return SolveResponse::failure(req.id, e),
     };
-    if req.freq_ladder.is_some() {
-        return serve_dvfs_request(worker_id, cache_capacity, cache, req, &plan);
-    }
-
-    // Profiled pricing ignores restart/rate entirely, so their bits are
-    // normalized out of the key — otherwise two clients sending the same
-    // fleet with different (ignored) affine fields would re-enumerate and
-    // double-occupy the bounded cache for one identical family.
-    let key = CacheKey {
-        processors: req.instance.num_processors,
-        horizon: req.instance.horizon,
-        restart_bits: if req.profiles.is_some() {
-            0
-        } else {
-            req.restart.to_bits()
-        },
-        rate_bits: if req.profiles.is_some() {
-            0
-        } else {
-            req.rate.to_bits()
-        },
-        profile_bits: req.profiles.as_ref().map(|ps| {
-            ps.iter()
-                .map(|p| (p.wake_cost.to_bits(), p.busy_rate.to_bits()))
-                .collect()
-        }),
-        ladder_bits: None,
-        policy: plan.policy.into(),
-    };
-    // plan() has vetted the parameters, so neither constructor can assert
-    let cost: Box<dyn EnergyCost> = match &req.profiles {
-        Some(profiles) => Box::new(ProfileCost::new(profiles)),
-        None => Box::new(AffineCost::new(req.restart, req.rate)),
-    };
-    let options = SolveOptions {
-        lazy: plan.lazy,
-        parallel: plan.parallel,
-    };
-    let cache_hit = cache.contains_key(&key);
-    sched_obs::counter_add(
-        if cache_hit {
-            "engine.cache.hits"
-        } else {
-            "engine.cache.misses"
-        },
-        1,
-    );
-    if !cache_hit {
-        if cache.len() >= cache_capacity {
-            cache.clear(); // simplest bound; capacity is generous
-        }
-        cache.insert(key.clone(), WarmHandle::with_options(plan.policy, options));
-    }
-    let handle = cache.get_mut(&key).expect("just inserted");
-    handle.set_options(options);
-    // Identical cost bits are part of the key, so on a hit the handle's
-    // checksum always matches and this returns the cached family without
-    // re-enumerating.
-    let family = handle.family(&req.instance, cost.as_ref());
-
-    let t0 = Instant::now();
-    let outcome = match plan.goal {
-        // The warm path: consecutive schedule_all requests on one grid reuse
-        // the reduction and every gain whose window content did not change.
-        // Job content hashes are the pairing keys (wire requests carry no
-        // stable job identity).
-        Goal::All => handle.solve(&req.instance, &content_keys(&req.instance), cost.as_ref()),
-        Goal::Prize { target, epsilon } => {
-            Solver::with_shared_candidates(&req.instance, Arc::clone(&family))
-                .lazy(plan.lazy)
-                .parallel(plan.parallel)
-                .prize_collecting(target, epsilon)
-        }
-        Goal::PrizeExact { target } => {
-            Solver::with_shared_candidates(&req.instance, Arc::clone(&family))
-                .lazy(plan.lazy)
-                .parallel(plan.parallel)
-                .prize_collecting_exact(target)
-        }
-    };
-    let solve_micros = t0.elapsed().as_micros() as u64;
-
-    match outcome {
-        Ok(schedule) => SolveResponse::success(
-            req.id,
-            schedule,
-            SolveMetrics {
-                solve_micros,
-                candidates: family.len() as u64,
-                worker: worker_id,
-                cache_hit,
-            },
-        ),
-        Err(e) => {
-            SolveResponse::failure(req.id, WireError::new(ErrorKind::Infeasible, e.to_string()))
-        }
-    }
-}
-
-/// The DVFS solve path: compiles the request into the speed-scaling
-/// virtual grid, solves it through the same warm-start candidate cache
-/// (keyed by the ladder's parameter bits), and answers with the physical
-/// schedule plus per-interval `freq_levels`.
-fn serve_dvfs_request(
-    worker_id: u32,
-    cache_capacity: usize,
-    cache: &mut CandidateCache,
-    req: &SolveRequest,
-    plan: &Plan,
-) -> SolveResponse {
-    let ladder = req.freq_ladder.as_ref().expect("caller checked");
-    let dvfs = DvfsInstance {
+    // A DVFS request solves its compilation onto the speed-scaling virtual
+    // grid; every other request solves its own instance.
+    let dvfs = req.freq_ladder.as_ref().map(|ladder| DvfsInstance {
         num_processors: req.instance.num_processors,
         horizon: req.instance.horizon,
         wake_cost: req.restart,
         ladder: ladder.clone(),
         jobs: req.instance.jobs.clone(),
-    };
-    let compiled = match dvfs.compile() {
+    });
+    let compiled = match dvfs.as_ref().map(DvfsInstance::compile).transpose() {
         Ok(c) => c,
         Err(e) => {
             return SolveResponse::failure(
@@ -962,24 +865,17 @@ fn serve_dvfs_request(
             )
         }
     };
-    let key = CacheKey {
-        processors: req.instance.num_processors,
-        horizon: req.instance.horizon,
-        restart_bits: req.restart.to_bits(),
-        rate_bits: 0,
-        profile_bits: None,
-        ladder_bits: Some((
-            ladder.alpha.to_bits(),
-            ladder.beta.to_bits(),
-            ladder.gamma.to_bits(),
-            ladder.freqs.clone(),
-        )),
-        policy: PolicyKey::All,
+    let instance = compiled.as_ref().map_or(&req.instance, |c| &c.instance);
+    // plan() has vetted the parameters, so no constructor can assert.
+    // Enumerating the compiled grid with the DvfsCost oracle reproduces the
+    // explicit compiled family bit for bit (proved in sched-core).
+    let cost: Box<dyn EnergyCost> = match (&dvfs, &req.profiles) {
+        (Some(dvfs), _) => Box::new(DvfsCost::new(dvfs)),
+        (None, Some(profiles)) => Box::new(ProfileCost::new(profiles)),
+        (None, None) => Box::new(AffineCost::new(req.restart, req.rate)),
     };
-    let options = SolveOptions {
-        lazy: plan.lazy,
-        parallel: plan.parallel,
-    };
+
+    let key = CacheKey::new(req, plan.policy);
     let cache_hit = cache.contains_key(&key);
     sched_obs::counter_add(
         if cache_hit {
@@ -989,45 +885,40 @@ fn serve_dvfs_request(
         },
         1,
     );
-    if !cache_hit {
-        if cache.len() >= cache_capacity {
-            cache.clear();
-        }
-        cache.insert(
-            key.clone(),
-            WarmHandle::with_options(CandidatePolicy::All, options),
-        );
+    if !cache_hit && cache.len() >= CACHE_CAPACITY {
+        cache.clear();
     }
-    let handle = cache.get_mut(&key).expect("just inserted");
-    handle.set_options(options);
-    // Enumerating the compiled grid with the DvfsCost oracle reproduces the
-    // explicit candidate family bit for bit (proved in sched-core), so the
-    // cached family is interchangeable with `compiled.candidates`.
-    let cost = DvfsCost::new(&dvfs);
-    let family = handle.family(&compiled.instance, &cost);
+    let family = Arc::clone(
+        cache
+            .entry(key)
+            .or_insert_with(|| enumerate_candidates(instance, cost.as_ref(), plan.policy).into()),
+    );
+    let candidates = family.len() as u64;
 
     let t0 = Instant::now();
-    let outcome = handle.solve(&compiled.instance, &content_keys(&compiled.instance), &cost);
-    let solve_micros = t0.elapsed().as_micros() as u64;
+    let solver = Solver::with_shared_candidates(instance, family).options(plan.options);
+    let outcome = match plan.goal {
+        Goal::All => solver.schedule_all(),
+        Goal::Prize { target, epsilon } => solver.prize_collecting(target, epsilon),
+        Goal::PrizeExact { target } => solver.prize_collecting_exact(target),
+    };
+    let metrics = SolveMetrics {
+        solve_micros: t0.elapsed().as_micros() as u64,
+        candidates,
+        worker: worker_id,
+        cache_hit,
+    };
 
-    match outcome {
-        Ok(schedule) => {
+    match (outcome, &compiled) {
+        (Ok(schedule), None) => SolveResponse::success(req.id, schedule, metrics),
+        (Ok(schedule), Some(compiled)) => {
             let (physical, freq_levels) =
                 compiled.to_physical_schedule(&compiled.decompile(&schedule));
-            let mut resp = SolveResponse::success(
-                req.id,
-                physical,
-                SolveMetrics {
-                    solve_micros,
-                    candidates: family.len() as u64,
-                    worker: worker_id,
-                    cache_hit,
-                },
-            );
+            let mut resp = SolveResponse::success(req.id, physical, metrics);
             resp.freq_levels = Some(freq_levels);
             resp
         }
-        Err(e) => {
+        (Err(e), _) => {
             SolveResponse::failure(req.id, WireError::new(ErrorKind::Infeasible, e.to_string()))
         }
     }
@@ -1100,6 +991,46 @@ mod tests {
             hits[1..].iter().all(|&h| h),
             "single worker must reuse the family: {hits:?}"
         );
+    }
+
+    #[test]
+    fn one_cached_family_serves_every_goal_bit_identically() {
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        let instance = Instance::new(
+            2,
+            6,
+            vec![
+                CoreJob::window(2.0, 0, 0, 3),
+                CoreJob::window(3.0, 1, 2, 6).add_window(0, 4, 6),
+                CoreJob::window(1.0, 0, 4, 6),
+                CoreJob::window(4.0, 1, 0, 2),
+            ],
+        );
+        let request = |id: u64| SolveRequest::builder(id, instance.clone()).affine(2.0, 1.0);
+        let responses = engine.solve_batch(vec![
+            request(1).build(),
+            request(2).prize_collecting(6.0).epsilon(0.25).build(),
+            request(3).prize_collecting_exact(7.0).build(),
+        ]);
+        let hits: Vec<bool> = responses
+            .iter()
+            .map(|r| r.metrics.unwrap().cache_hit)
+            .collect();
+        assert_eq!(hits, vec![false, true, true]);
+        let cost = AffineCost::new(2.0, 1.0);
+        let direct = Solver::new(&instance, &cost);
+        let expected = [
+            direct.schedule_all(),
+            direct.prize_collecting(6.0, 0.25),
+            direct.prize_collecting_exact(7.0),
+        ];
+        for (resp, want) in responses.iter().zip(expected) {
+            let got = resp.schedule.as_ref().expect("engine solved");
+            let want = want.expect("direct solve");
+            assert_eq!(got.total_cost.to_bits(), want.total_cost.to_bits());
+            assert_eq!(got.assignments, want.assignments);
+            assert_eq!(got.awake, want.awake);
+        }
     }
 
     #[test]
@@ -1412,7 +1343,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 2,
             queue_depth: 1,
-            cache_capacity: 4,
             ..Default::default()
         });
         let responses = engine
@@ -1465,7 +1395,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 1,
             queue_depth: 1,
-            cache_capacity: 4,
             ..Default::default()
         });
         // occupy the single worker for a while
@@ -1509,7 +1438,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 1,
             queue_depth: 1,
-            cache_capacity: 4,
             ..Default::default()
         });
         let stall = engine.submit(stall_request(0));

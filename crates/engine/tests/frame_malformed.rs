@@ -53,11 +53,16 @@ fn poke(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes the single framed failure response `poke` got back.
-fn sole_failure(mut cursor: &[u8]) -> SolveResponse {
+fn sole_failure(cursor: &[u8]) -> SolveResponse {
+    sole_failure_in(WireFormat::Binary, cursor)
+}
+
+/// [`sole_failure`] for a reply expected in `expected` format.
+fn sole_failure_in(expected: WireFormat, mut cursor: &[u8]) -> SolveResponse {
     let (format, payload) = read_frame(&mut cursor)
         .expect("server reply is a well-formed frame")
         .expect("server replied before closing");
-    assert_eq!(format, WireFormat::Binary, "errors default to binary");
+    assert_eq!(format, expected, "reply format");
     let remaining: &[u8] = cursor;
     assert!(remaining.is_empty(), "exactly one reply frame, then close");
     let value = sched_engine::codec::payload_to_value(format, &payload).unwrap();
@@ -133,6 +138,42 @@ fn undecodable_binary_payload_yields_structured_parse_failure() {
     bytes.push(WireFormat::Binary.tag());
     bytes.extend_from_slice(&[0xFE, 0xDC, 0xBA, 0x98]);
     let resp = sole_failure(&poke(addr, &bytes));
+    assert_eq!(resp.error.unwrap().kind, ErrorKind::Parse);
+    assert_server_alive(addr);
+}
+
+/// 200 000 `[` then 200 000 `]`: without a nesting limit the recursive
+/// JSON parser overflows the reader thread's stack and aborts the server.
+fn deeply_nested_json() -> Vec<u8> {
+    let mut json = "[".repeat(200_000);
+    json.push_str(&"]".repeat(200_000));
+    json.into_bytes()
+}
+
+#[test]
+fn deeply_nested_jsonl_line_yields_structured_parse_failure() {
+    let addr = spawn_server();
+    let mut line = deeply_nested_json();
+    line.push(b'\n');
+    let reply = String::from_utf8(poke(addr, &line)).expect("JSONL reply");
+    let mut lines = reply.lines();
+    let resp: SolveResponse = serde_json::from_str(lines.next().expect("one reply line")).unwrap();
+    assert!(lines.next().is_none(), "exactly one reply line");
+    assert!(!resp.ok);
+    assert_eq!(resp.error.unwrap().kind, ErrorKind::Parse);
+    assert_server_alive(addr);
+}
+
+#[test]
+fn deeply_nested_json_frame_yields_structured_parse_failure() {
+    let addr = spawn_server();
+    let payload = deeply_nested_json();
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.push(WireFormat::Json.tag());
+    bytes.extend_from_slice(&payload);
+    let resp = sole_failure_in(WireFormat::Json, &poke(addr, &bytes));
     assert_eq!(resp.error.unwrap().kind, ErrorKind::Parse);
     assert_server_alive(addr);
 }
