@@ -408,12 +408,13 @@ pub fn run(opts: PerfOptions) -> PerfReport {
     }
 
     // --- telemetry overhead workload: ambient registry off vs on ---
-    // The n64 solve shape again, once with no ambient registry (`fast` —
+    // The n64 solve shape again, once with no ambient registry (`naive` —
     // spans disarm at creation, counters vanish in `with_active`) and once
-    // with a thread-local registry installed (`naive` — every span,
+    // with a thread-local registry installed (`fast` — every span,
     // histogram, and counter lands). The pinned Speedup row is the
-    // zero-cost-when-disabled claim in machine-readable form: the ratio
-    // must stay ≈1.0 within the CI tolerance.
+    // zero-cost-when-disabled claim in machine-readable form: the on/off
+    // ratio must stay ≈1.0, and growing overhead lowers it, so the CI
+    // floor catches it like any other decay (see `overhead_rows`).
     {
         let (n, p, t, seed) = (64usize, 4u32, 32u32, 11u64);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -456,19 +457,14 @@ pub fn run(opts: PerfOptions) -> PerfReport {
             on_ns = on_ns.min(t0.elapsed().as_nanos() as u64);
             sched_obs::set_thread(None);
         }
-        let fast = row(&name, "fast", solves, off_ns, peak);
-        let naive = row(&name, "naive", solves, on_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
-        });
-        workloads.push(fast);
-        workloads.push(naive);
+        let (rows, speedup) = overhead_rows(&name, solves, off_ns, on_ns, peak);
+        workloads.extend(rows);
+        speedups.push(speedup);
 
         // --- tracing overhead: same shape, ambient tracer off vs on ---
         // With the tracer installed every span becomes a ring-buffer event
         // and the greedy emits its per-pick decision log. The pinned row
-        // bounds that cost: `fast` (no tracer) over `naive` (thread-local
+        // bounds that cost: `fast` (thread-local tracer) over `naive` (no
         // tracer) must stay ≈1.0 — the record path formats nothing and
         // takes one short lock per event.
         let name = format!("trace_overhead_n{n}_p{p}_t{t}");
@@ -496,14 +492,9 @@ pub fn run(opts: PerfOptions) -> PerfReport {
             // out of the measurement's steady state
             tracer.clear();
         }
-        let fast = row(&name, "fast", solves, off_ns, peak);
-        let naive = row(&name, "naive", solves, on_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
-        });
-        workloads.push(fast);
-        workloads.push(naive);
+        let (rows, speedup) = overhead_rows(&name, solves, off_ns, on_ns, peak);
+        workloads.extend(rows);
+        speedups.push(speedup);
     }
 
     PerfReport {
@@ -512,6 +503,25 @@ pub fn run(opts: PerfOptions) -> PerfReport {
         workloads,
         speedups,
     }
+}
+
+/// Rows of a telemetry-overhead pair: telemetry off is the `naive` path
+/// and telemetry on the `fast` one, so `fast_over_naive` = on/off falls
+/// as overhead grows and [`compare`]'s decay floor fails on it.
+fn overhead_rows(
+    name: &str,
+    solves: u64,
+    off_ns: u64,
+    on_ns: u64,
+    peak: u64,
+) -> ([WorkloadResult; 2], Speedup) {
+    let off = row(name, "naive", solves, off_ns, peak);
+    let on = row(name, "fast", solves, on_ns, peak);
+    let speedup = Speedup {
+        workload: name.into(),
+        fast_over_naive: on.ops_per_sec / off.ops_per_sec,
+    };
+    ([off, on], speedup)
 }
 
 /// The deterministic mixed-mode engine workload (the shape
@@ -747,6 +757,25 @@ mod tests {
             compare(&tiny_report(100.0, 1.5), &base, 0.25, true).len(),
             1
         );
+    }
+
+    #[test]
+    fn slower_telemetry_on_path_fails_the_gate() {
+        // Baseline: telemetry on and off equally fast. A fresh run whose
+        // telemetry-on solves take 40% longer must fail the relative gate;
+        // 10% longer stays inside the 25% tolerance.
+        let report = |on_ns| {
+            let (rows, speedup) = overhead_rows("obs_overhead", 20, 1_000_000, on_ns, 1);
+            PerfReport {
+                schema: SCHEMA.into(),
+                mode: "quick".into(),
+                workloads: rows.into(),
+                speedups: vec![speedup],
+            }
+        };
+        let base = report(1_000_000);
+        assert_eq!(compare(&report(1_400_000), &base, 0.25, true).len(), 1);
+        assert!(compare(&report(1_100_000), &base, 0.25, true).is_empty());
     }
 
     #[test]

@@ -355,6 +355,12 @@ impl ObjectiveScratch {
         (self.memo_hits, self.memo_misses)
     }
 
+    /// Lifetime adjacency entries scanned by the speculative searches run
+    /// through this scratch.
+    pub(crate) fn search_edges(&self) -> u64 {
+        self.gain.search_edges()
+    }
+
     fn ensure(&mut self, token: u64, m: usize) {
         if self.memo_token != token || self.memo_val.len() != m {
             self.memo_token = token;

@@ -179,8 +179,13 @@ pub(crate) fn schedule_all_seeded(
 }
 
 /// Flushes the per-solve batched counters (gain-memo hits/misses, oracle
-/// augment/retract operations) to the ambient registry. The hot loops only
-/// bump plain integers; this is the single point where they become metrics.
+/// augment/retract operations, adjacency entries scanned by committed and
+/// speculative searches) to the ambient registry. The hot loops only bump
+/// plain integers; this is the single point where they become metrics.
+///
+/// `matching.oracle.search_edges` covers the committed oracle and the
+/// solve's own scratch; the per-thread scratches of a `parallel` scan are
+/// dropped with their threads' work and are not flushed.
 fn flush_solve_telemetry(obj: &ScheduleObjective<'_>, scratch: &ObjectiveScratch) {
     let (hits, misses) = scratch.memo_counts();
     sched_obs::counter_add("core.gain_memo.hits", hits);
@@ -188,6 +193,10 @@ fn flush_solve_telemetry(obj: &ScheduleObjective<'_>, scratch: &ObjectiveScratch
     let (augments, retracts) = obj.oracle().op_counts();
     sched_obs::counter_add("matching.oracle.augments", augments);
     sched_obs::counter_add("matching.oracle.retracts", retracts);
+    sched_obs::counter_add(
+        "matching.oracle.search_edges",
+        obj.oracle().search_edges() + scratch.search_edges(),
+    );
 }
 
 fn empty_schedule() -> Schedule {
@@ -452,5 +461,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(lazy.total_cost, par.total_cost);
+    }
+
+    #[test]
+    fn search_edges_counter_is_flushed_and_deterministic() {
+        let jobs = (0..8)
+            .map(|j| Job::window(1.0, j % 2, j / 2, j / 2 + 4))
+            .collect();
+        let inst = Instance::new(2, 8, jobs);
+        let edges_of_one_solve = || {
+            let registry = std::sync::Arc::new(sched_obs::Registry::new());
+            sched_obs::set_thread(Some(std::sync::Arc::clone(&registry)));
+            solve(&inst, &AffineCost::new(3.0, 1.0)).unwrap();
+            sched_obs::set_thread(None);
+            registry.counter("matching.oracle.search_edges").get()
+        };
+        let first = edges_of_one_solve();
+        assert!(first > 0, "a solve scans adjacency entries");
+        assert_eq!(
+            first,
+            edges_of_one_solve(),
+            "the count is a function of the instance"
+        );
     }
 }

@@ -24,6 +24,41 @@
 //! on an epoch-versioned overlay ([`GainScratch`]) without touching the
 //! committed state, so candidate evaluation takes `&self` and parallelizes
 //! with one scratch per thread.
+//!
+//! # Search pruning
+//!
+//! Two rules cut the alternating-path searches short; neither changes any
+//! gain, total or committed matching.
+//!
+//! **Dead jobs.** A search from slot `v` that reaches no free job visited a
+//! job set `J` that is fully matched, and *closed*: the search scanned every
+//! live neighbour of each visited job's matched slot, so those neighbours
+//! all lie in `J`. An alternating path that enters `J` moves from a job to
+//! its matched slot and from there only to jobs of `J` again, so it can
+//! never end at a free job. Flips only run along paths that end at a free
+//! job, so they never touch `J`'s matching; new slots (`add_slot`), freed
+//! slots (`retract`) and retired jobs only add sources or delete edges.
+//! `J` therefore stays matched and closed, and no later augmenting path can
+//! enter it. A retract of a job inside `J` frees a slot whose neighbours all
+//! lie in `J`, so the search from it finds nothing either, and `J` minus
+//! that job is still closed. Such jobs are marked *dead* and skipped by
+//! every later search. Skipping them changes nothing about how a live job
+//! is discovered (no dead slot has a live neighbour), so each search still
+//! picks the same job and flips the same path. Committed searches keep the
+//! marks until [`MatchingOracle::reset`]; speculative searches add their
+//! own marks to the [`GainScratch`] for one evaluation only, because the
+//! overlay matching they certify is thrown away afterwards.
+//!
+//! **First hit.** When every job has the same value, any free job is a
+//! best endpoint: each adds exactly that value, and the rank after each
+//! prefix of a speculative evaluation does not depend on which path was
+//! flipped. [`MatchingOracle::gain_of`] and
+//! [`MatchingOracle::gain_prefixes`] therefore stop at the first free job
+//! they reach. With unequal values the first free job can be a cheaper one,
+//! so the rule is exact only for equal values. Committed searches
+//! (`add_slot`, `retract`) always scan the whole reachable set and keep the
+//! smallest-index tie-break, so [`MatchingOracle::matching`] and every
+//! schedule built from it are the same as without pruning.
 
 use crate::graph::BipartiteGraph;
 
@@ -62,6 +97,17 @@ impl BfsScratch {
     }
 }
 
+/// Per-job state of the committed oracle. Only `Live` jobs take part in
+/// searches; see the module docs for `Dead`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum JobMark {
+    Live,
+    /// Matched inside a closed set no augmenting path can enter.
+    Dead,
+    /// Removed by [`MatchingOracle::retract`].
+    Retired,
+}
+
 /// Read/write access to a matching state; lets the committed path and the
 /// overlay path share one augmentation routine.
 trait MatchView {
@@ -69,11 +115,15 @@ trait MatchView {
     fn my(&self, y: u32) -> u32;
     fn set_mx(&mut self, x: u32, y: u32);
     fn set_my(&mut self, y: u32, x: u32);
+    /// Can a search still visit job `y` (neither retired nor dead)?
+    fn live(&self, y: u32) -> bool;
+    fn mark_dead(&mut self, y: u32);
 }
 
 struct DirectView<'a> {
     match_x: &'a mut [u32],
     match_y: &'a mut [u32],
+    marks: &'a mut [JobMark],
 }
 
 impl MatchView for DirectView<'_> {
@@ -93,6 +143,14 @@ impl MatchView for DirectView<'_> {
     fn set_my(&mut self, y: u32, x: u32) {
         self.match_y[y as usize] = x;
     }
+    #[inline]
+    fn live(&self, y: u32) -> bool {
+        self.marks[y as usize] == JobMark::Live
+    }
+    #[inline]
+    fn mark_dead(&mut self, y: u32) {
+        self.marks[y as usize] = JobMark::Dead;
+    }
 }
 
 /// Epoch-versioned copy-on-write overlay over the committed matching.
@@ -103,6 +161,10 @@ impl MatchView for DirectView<'_> {
 /// evaluation instead of O(V). Duplicate slots within one evaluation are
 /// detected with the same epoch trick (`added_ver`), so an evaluation costs
 /// O(|T|) bookkeeping instead of the O(|T|²) of a linear `contains` scan.
+///
+/// Every tag is at most the current epoch, and epochs only grow (a wrap
+/// clears every tag), so no tag left from an earlier evaluation, or from an
+/// oracle of another size, can match a later epoch.
 #[derive(Clone, Debug, Default)]
 pub struct GainScratch {
     ep: u32,
@@ -113,6 +175,12 @@ pub struct GainScratch {
     bfs: BfsScratch,
     /// Per-slot tag: `== ep` when the slot was already added in this epoch.
     added_ver: Vec<u32>,
+    /// Per-job tag: `== ep` when a search in this epoch certified the job
+    /// dead in the overlay matching (see the module docs).
+    dead_ver: Vec<u32>,
+    /// Adjacency entries scanned by speculative searches through this
+    /// scratch (plain field, read via [`GainScratch::search_edges`]).
+    search_edges: u64,
 }
 
 impl GainScratch {
@@ -122,17 +190,26 @@ impl GainScratch {
         Self::default()
     }
 
+    /// Lifetime count of adjacency entries scanned by speculative searches
+    /// ([`MatchingOracle::gain_of`], [`MatchingOracle::gain_prefixes`])
+    /// through this scratch.
+    #[inline]
+    pub fn search_edges(&self) -> u64 {
+        self.search_edges
+    }
+
+    /// Sizes the arrays to the oracle. `ep` keeps running across a resize
+    /// (see the type docs).
     fn ensure(&mut self, nx: usize, ny: usize) {
         if self.mx_ver.len() != nx {
             self.mx_ov = vec![NONE; nx];
             self.mx_ver = vec![0; nx];
             self.added_ver = vec![0; nx];
-            self.ep = 0;
         }
         if self.my_ver.len() != ny {
             self.my_ov = vec![NONE; ny];
             self.my_ver = vec![0; ny];
-            self.ep = 0;
+            self.dead_ver = vec![0; ny];
         }
         self.bfs.ensure(nx, ny);
     }
@@ -142,6 +219,7 @@ impl GainScratch {
             self.mx_ver.fill(0);
             self.my_ver.fill(0);
             self.added_ver.fill(0);
+            self.dead_ver.fill(0);
             self.ep = 0;
         }
         self.ep += 1;
@@ -152,11 +230,13 @@ impl GainScratch {
 struct OverlayView<'a> {
     base_x: &'a [u32],
     base_y: &'a [u32],
+    marks: &'a [JobMark],
     ep: u32,
     mx_ov: &'a mut [u32],
     mx_ver: &'a mut [u32],
     my_ov: &'a mut [u32],
     my_ver: &'a mut [u32],
+    dead_ver: &'a mut [u32],
 }
 
 impl MatchView for OverlayView<'_> {
@@ -186,6 +266,14 @@ impl MatchView for OverlayView<'_> {
         self.my_ov[y as usize] = x;
         self.my_ver[y as usize] = self.ep;
     }
+    #[inline]
+    fn live(&self, y: u32) -> bool {
+        self.marks[y as usize] == JobMark::Live && self.dead_ver[y as usize] != self.ep
+    }
+    #[inline]
+    fn mark_dead(&mut self, y: u32) {
+        self.dead_ver[y as usize] = self.ep;
+    }
 }
 
 /// Incremental maximum-weight matching-rank oracle over a fixed bipartite
@@ -194,10 +282,13 @@ impl MatchView for OverlayView<'_> {
 pub struct MatchingOracle<'g> {
     g: &'g BipartiteGraph,
     values: Vec<f64>,
+    /// All job values are equal: speculative searches may stop at the first
+    /// free job (see the module docs).
+    uniform: bool,
     allowed: Vec<bool>,
-    /// Jobs removed by [`MatchingOracle::retract`]; they no longer
-    /// participate in augmentations or gain evaluations.
-    retired: Vec<bool>,
+    /// Retired jobs (removed by [`MatchingOracle::retract`]) and dead ones
+    /// no longer participate in augmentations or gain evaluations.
+    marks: Vec<JobMark>,
     match_x: Vec<u32>,
     match_y: Vec<u32>,
     total: f64,
@@ -205,9 +296,11 @@ pub struct MatchingOracle<'g> {
     revision: u64,
     // Committed-operation tallies for telemetry: plain fields (no atomics,
     // no dependency on any metrics crate) that callers read out once per
-    // solve via [`MatchingOracle::op_counts`].
+    // solve via [`MatchingOracle::op_counts`] and
+    // [`MatchingOracle::search_edges`].
     augment_ops: u64,
     retract_ops: u64,
+    search_edges: u64,
     bfs: BfsScratch,
 }
 
@@ -230,9 +323,10 @@ impl<'g> MatchingOracle<'g> {
         bfs.ensure(g.nx() as usize, g.ny() as usize);
         Self {
             g,
+            uniform: values.windows(2).all(|w| w[0] == w[1]),
             values,
             allowed: vec![false; g.nx() as usize],
-            retired: vec![false; g.ny() as usize],
+            marks: vec![JobMark::Live; g.ny() as usize],
             match_x: vec![NONE; g.nx() as usize],
             match_y: vec![NONE; g.ny() as usize],
             total: 0.0,
@@ -240,6 +334,7 @@ impl<'g> MatchingOracle<'g> {
             revision: 0,
             augment_ops: 0,
             retract_ops: 0,
+            search_edges: 0,
             bfs,
         }
     }
@@ -332,18 +427,7 @@ impl<'g> MatchingOracle<'g> {
         self.allowed[v as usize] = true;
         self.n_allowed += 1;
         self.augment_ops += 1;
-        let mut view = DirectView {
-            match_x: &mut self.match_x,
-            match_y: &mut self.match_y,
-        };
-        let gain = best_augment(
-            self.g,
-            v,
-            &mut view,
-            &mut self.bfs,
-            &self.values,
-            &self.retired,
-        );
+        let gain = self.committed_augment(v);
         if gain > 0.0 {
             self.revision += 1;
         }
@@ -376,10 +460,10 @@ impl<'g> MatchingOracle<'g> {
     /// unsaturated, since its departure can still lower future marginal
     /// gains.
     pub fn retract(&mut self, y: u32) -> f64 {
-        if self.retired[y as usize] {
+        if self.marks[y as usize] == JobMark::Retired {
             return 0.0;
         }
-        self.retired[y as usize] = true;
+        self.marks[y as usize] = JobMark::Retired;
         self.revision += 1;
         self.retract_ops += 1;
         let x = self.match_y[y as usize];
@@ -390,20 +474,28 @@ impl<'g> MatchingOracle<'g> {
         self.match_x[x as usize] = NONE;
         let lost = self.values[y as usize];
         self.total -= lost;
+        let regained = self.committed_augment(x);
+        self.total += regained;
+        regained - lost
+    }
+
+    /// Full committed search from the unmatched allowed slot `v` (no
+    /// first-hit exit, so the smallest-index tie-break holds).
+    fn committed_augment(&mut self, v: u32) -> f64 {
         let mut view = DirectView {
             match_x: &mut self.match_x,
             match_y: &mut self.match_y,
+            marks: &mut self.marks,
         };
-        let regained = best_augment(
+        best_augment(
             self.g,
-            x,
+            v,
             &mut view,
             &mut self.bfs,
             &self.values,
-            &self.retired,
-        );
-        self.total += regained;
-        regained - lost
+            false,
+            &mut self.search_edges,
+        )
     }
 
     /// Lifetime `(augment, retract)` committed-operation counts: augmenting
@@ -415,10 +507,18 @@ impl<'g> MatchingOracle<'g> {
         (self.augment_ops, self.retract_ops)
     }
 
+    /// Lifetime count of adjacency entries scanned by committed searches
+    /// ([`MatchingOracle::add_slot`], [`MatchingOracle::retract`]);
+    /// speculative ones are counted in their [`GainScratch`].
+    #[inline]
+    pub fn search_edges(&self) -> u64 {
+        self.search_edges
+    }
+
     /// Has job `y` been retired by [`MatchingOracle::retract`]?
     #[inline]
     pub fn is_retired(&self, y: u32) -> bool {
-        self.retired[y as usize]
+        self.marks[y as usize] == JobMark::Retired
     }
 
     /// Evaluates `F(S ∪ T) − F(S)` exactly for `T = slots`, *without*
@@ -465,11 +565,13 @@ impl<'g> MatchingOracle<'g> {
                 let mut view = OverlayView {
                     base_x: &self.match_x,
                     base_y: &self.match_y,
+                    marks: &self.marks,
                     ep,
                     mx_ov: &mut scratch.mx_ov,
                     mx_ver: &mut scratch.mx_ver,
                     my_ov: &mut scratch.my_ov,
                     my_ver: &mut scratch.my_ver,
+                    dead_ver: &mut scratch.dead_ver,
                 };
                 gain += best_augment(
                     self.g,
@@ -477,7 +579,8 @@ impl<'g> MatchingOracle<'g> {
                     &mut view,
                     &mut scratch.bfs,
                     &self.values,
-                    &self.retired,
+                    self.uniform,
+                    &mut scratch.search_edges,
                 );
             }
             emit(k, gain);
@@ -485,10 +588,11 @@ impl<'g> MatchingOracle<'g> {
         gain
     }
 
-    /// Clears `S` back to the empty set and un-retires every job.
+    /// Clears `S` back to the empty set, un-retires every job and drops
+    /// every dead mark.
     pub fn reset(&mut self) {
         self.allowed.fill(false);
-        self.retired.fill(false);
+        self.marks.fill(JobMark::Live);
         self.match_x.fill(NONE);
         self.match_y.fill(NONE);
         self.total = 0.0;
@@ -500,15 +604,20 @@ impl<'g> MatchingOracle<'g> {
 /// Finds the maximum-value unsaturated job reachable from the newly-allowed,
 /// unmatched slot `v` by an alternating path, flips that path, and returns the
 /// gained value (0 if none reachable). Ties broken toward the smallest job
-/// index for determinism. Retired jobs are invisible: never matched (they are
-/// unmatched by construction) and never chosen as the augmenting endpoint.
+/// index for determinism; with `first_hit` the search instead stops at the
+/// first free job it reaches, which is exact only when all values are equal.
+/// Jobs that are not [`MatchView::live`] are invisible: retired ones are
+/// unmatched by construction and never chosen, dead ones can lead to no free
+/// job. A search that reaches no free job marks every job it visited dead.
+/// Adds the adjacency entries it scans to `edges`.
 fn best_augment(
     g: &BipartiteGraph,
     v: u32,
     view: &mut impl MatchView,
     bfs: &mut BfsScratch,
     values: &[f64],
-    retired: &[bool],
+    first_hit: bool,
+    edges: &mut u64,
 ) -> f64 {
     debug_assert_eq!(view.mx(v), NONE, "newly added slot must be unmatched");
     let ep = bfs.next_epoch();
@@ -518,11 +627,12 @@ fn best_augment(
     let mut best_val = 0.0f64;
 
     let mut head = 0;
-    while head < bfs.queue.len() {
+    'search: while head < bfs.queue.len() {
         let x = bfs.queue[head];
         head += 1;
-        for &y in g.adj_x(x) {
-            if retired[y as usize] || bfs.job_seen[y as usize] == ep {
+        let adj = g.adj_x(x);
+        for (i, &y) in adj.iter().enumerate() {
+            if bfs.job_seen[y as usize] == ep || !view.live(y) {
                 continue;
             }
             bfs.job_seen[y as usize] = ep;
@@ -530,6 +640,12 @@ fn best_augment(
             let m = view.my(y);
             if m == NONE {
                 let val = values[y as usize];
+                if first_hit {
+                    *edges += i as u64 + 1;
+                    best_val = val;
+                    best_y = y;
+                    break 'search;
+                }
                 if val > best_val || (val == best_val && best_y != NONE && y < best_y) {
                     best_val = val;
                     best_y = y;
@@ -540,9 +656,15 @@ fn best_augment(
                 bfs.queue.push(m);
             }
         }
+        *edges += adj.len() as u64;
     }
 
     if best_y == NONE {
+        // Every visited job is matched, and each is the partner of exactly
+        // one slot enqueued after `v`: the closed set of the module docs.
+        for &x in &bfs.queue[1..] {
+            view.mark_dead(view.mx(x));
+        }
         return 0.0;
     }
 
@@ -955,6 +1077,45 @@ mod tests {
         o.reset();
         assert!(!o.is_retired(0));
         assert_eq!(o.add_slot(0), 1.0);
+    }
+
+    #[test]
+    fn failed_search_marks_dead_jobs_until_reset() {
+        // Slots 0, 1, 2 all see only job 0. Once slot 0 holds it, the search
+        // from slot 1 visits job 0 and slot 0 and finds no free job, so job 0
+        // is dead: the search from slot 2 scans its one entry and stops.
+        let g = BipartiteGraph::from_edges(3, 1, &[(0, 0), (1, 0), (2, 0)]);
+        let mut o = MatchingOracle::new_cardinality(&g);
+        assert_eq!(o.add_slot(0), 1.0);
+        assert_eq!(o.search_edges(), 1);
+        assert_eq!(o.add_slot(1), 0.0);
+        assert_eq!(o.search_edges(), 1 + 2, "job 0, then slot 0's own entry");
+        assert_eq!(o.add_slot(2), 0.0);
+        assert_eq!(o.search_edges(), 3 + 1, "dead job 0 is not expanded");
+        // a speculative search skips it too
+        let mut s = GainScratch::new();
+        o.gain_of(&[1], &mut s);
+        assert_eq!(s.search_edges(), 0, "allowed slots start no search");
+        // reset drops the marks: job 0 is reachable again
+        o.reset();
+        assert_eq!(o.add_slot(1), 1.0);
+        assert_eq!(o.matched_job(1), Some(0));
+    }
+
+    #[test]
+    fn first_hit_only_for_equal_values() {
+        // Slot 0 sees jobs 0 and 1. Equal values: the speculative search
+        // stops at job 0 after one entry. Unequal values: it must scan both
+        // entries to find the better job 1.
+        let g = BipartiteGraph::from_edges(1, 2, &[(0, 0), (0, 1)]);
+        let mut s = GainScratch::new();
+        let o = MatchingOracle::new(&g, vec![2.0, 2.0]);
+        assert_eq!(o.gain_of(&[0], &mut s), 2.0);
+        assert_eq!(s.search_edges(), 1);
+        let mut s = GainScratch::new();
+        let o = MatchingOracle::new(&g, vec![1.0, 3.0]);
+        assert_eq!(o.gain_of(&[0], &mut s), 3.0);
+        assert_eq!(s.search_edges(), 2);
     }
 
     #[test]

@@ -105,23 +105,41 @@ fn interleaved_gains_and_commits_stay_consistent() {
 #[test]
 fn gain_scratch_shared_across_different_oracles() {
     // One scratch reused against two different oracles (the rayon pattern
-    // after a work-steal) must stay correct thanks to epoch/versioning.
+    // after a work-steal) must stay correct thanks to epoch/versioning. The
+    // pairs differ in both sizes, in the job count only (shared nx) and in
+    // the slot count only (shared ny): a resize of one side must not let the
+    // other side's surviving tags alias a later epoch.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF00D);
-    let g1 = random_graph(&mut rng, 80, 40, 4);
-    let g2 = random_graph(&mut rng, 120, 60, 4);
-    let mut o1 = MatchingOracle::new_cardinality(&g1);
-    let mut o2 = MatchingOracle::new_cardinality(&g2);
-    o1.commit(&(0..40u32).collect::<Vec<_>>());
-    o2.commit(&(0..60u32).collect::<Vec<_>>());
-    let mut scratch = GainScratch::new();
-    for _ in 0..50 {
-        let p1: Vec<u32> = (0..4).map(|_| rng.gen_range(0..80u32)).collect();
-        let p2: Vec<u32> = (0..4).map(|_| rng.gen_range(0..120u32)).collect();
-        let g1a = o1.gain_of(&p1, &mut scratch);
-        let g2a = o2.gain_of(&p2, &mut scratch);
-        let g1b = o1.gain_of(&p1, &mut scratch);
-        let g2b = o2.gain_of(&p2, &mut scratch);
-        assert_eq!(g1a, g1b, "scratch crosstalk on oracle 1");
-        assert_eq!(g2a, g2b, "scratch crosstalk on oracle 2");
+    for (a, b) in [
+        ((80, 40), (120, 60)),
+        ((80, 40), (80, 60)),
+        ((80, 40), (120, 40)),
+    ] {
+        let g1 = random_graph(&mut rng, a.0, a.1, 4);
+        let g2 = random_graph(&mut rng, b.0, b.1, 4);
+        let mut o1 = MatchingOracle::new_cardinality(&g1);
+        let mut o2 = MatchingOracle::new_cardinality(&g2);
+        o1.commit(&(0..a.1).collect::<Vec<_>>());
+        o2.commit(&(0..b.1).collect::<Vec<_>>());
+        let mut scratch = GainScratch::new();
+        for _ in 0..50 {
+            let p1: Vec<u32> = (0..4).map(|_| rng.gen_range(0..a.0)).collect();
+            let p2: Vec<u32> = (0..4).map(|_| rng.gen_range(0..b.0)).collect();
+            let want1 = o1.gain_of(&p1, &mut GainScratch::new());
+            let want2 = o2.gain_of(&p2, &mut GainScratch::new());
+            for _ in 0..2 {
+                let shapes = (a, b);
+                assert_eq!(
+                    o1.gain_of(&p1, &mut scratch),
+                    want1,
+                    "crosstalk on oracle 1 {shapes:?}"
+                );
+                assert_eq!(
+                    o2.gain_of(&p2, &mut scratch),
+                    want2,
+                    "crosstalk on oracle 2 {shapes:?}"
+                );
+            }
+        }
     }
 }
